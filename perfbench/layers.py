@@ -160,14 +160,17 @@ def security_from_spans(totals: LayerTotals, counts: dict) -> dict:
     }
 
 
-def jobs_from_spans(totals: LayerTotals, chunk_ms: list[float], wall: float,
-                    shards: int, failed: int) -> dict:
-    """Executor-level figures of one sharded job (``chunk_ms`` is the
-    worker-reported ``elapsed`` of each chunk)."""
+def jobs_from_runs(totals: LayerTotals, chunk_ms: list[list[float]],
+                   walls: list[float], shards: int, failed: int) -> dict:
+    """Executor-level figures.  ``chunk_ms`` holds, per untraced sharded
+    job, the worker-reported ``elapsed`` of each chunk, and ``walls``
+    each job's wall time; the store writes and the merge come from
+    ``totals`` of the traced in-process job."""
+    every = [ms for job in chunk_ms for ms in job]
     return {
-        "jobs.chunk_ms_p50": statistics.median(chunk_ms),
-        "jobs.chunk_ms_max": max(chunk_ms),
-        "jobs.busy_ratio": sum(chunk_ms) / 1e3 / (shards * wall),
+        "jobs.chunk_ms_p50": statistics.median(every),
+        "jobs.chunk_ms_max": statistics.median([max(job) for job in chunk_ms]),
+        "jobs.busy_ratio": sum(every) / 1e3 / (shards * sum(walls)),
         "jobs.store_write_ms": totals.total_ns["jobs.store_write"] / 1e6,
         "jobs.merge_ms": _mean_ms(totals, "jobs.merge"),
         "jobs.chunks_failed": float(failed),

@@ -5,14 +5,19 @@ Run from the repository root::
     python3 perfbench/run.py --workload sessions-local --seed 0 --seconds 12 --trace 0
 
 ``--trace 0`` times the workload untraced and reports every end-to-end
-metric of ``BENCHMARK.json`` in the final object.  ``sessions_per_s``,
-``session_rounds_per_s``, ``step_p50_us`` and ``step_p99_us`` are
-printed above it with their sample counts but not gated: on a shared
-two-vCPU host the same code's throughput and latency move by up to 30%
-between runs minutes apart (``machine_loop_ms`` in the provenance line
-shows the host's speed at the start), which a regression bound of at
-most 25% cannot absorb, and sessions per second also follows the seed's
-game lengths.  ``--trace 1`` reports every per-layer metric instead,
+metric of ``BENCHMARK.json`` in the final object: ``setup_s``, the
+median of several set-ups in seconds (scaled to a reference host speed,
+:mod:`speed`, where the set-up runs in the benchmark process), and
+``peak_rss_mb``.  ``sessions_per_s`` and
+``session_rounds_per_s`` (scaled the same way), their wall-time
+counterparts, ``step_p50_us`` and ``step_p99_us`` (wall) and
+``setup_wall_s`` are printed above it with their sample counts but not
+gated: on a shared two-vCPU host their spread over ten seeds stays
+above a third of the largest bound a gate may have even after scaling,
+and sessions per second also follows the seed's game lengths.  So the
+gate cannot see a change in steady-state throughput or latency; a
+claimed gain there needs alternating paired runs of the parent and the
+change.  ``--trace 1`` reports every per-layer metric instead,
 from a run whose timed phase is half untraced, half traced.  The last
 line of standard output is one JSON object:
 ``{"correct", "attempted", "failed", "metrics"}``.  Lines before it give
@@ -28,7 +33,6 @@ import json
 import os
 import platform
 import shutil
-import statistics
 import sys
 import tempfile
 import time
@@ -59,24 +63,10 @@ def fail(message: str) -> int:
     return 2
 
 
-def machine_loop_ms() -> float:
-    """Median time of a fixed pure-Python loop at the start of the run.
-
-    The host's speed drifts by tens of percent over minutes; recording
-    it with every result lets a slow run be told apart from slow code.
-    """
-    times = []
-    for _ in range(7):
-        t0 = time.perf_counter()
-        total = 0
-        for i in range(200_000):
-            total += i
-        times.append((time.perf_counter() - t0) * 1e3)
-    return statistics.median(times)
-
-
 def provenance(args: argparse.Namespace, loadavg: tuple, loop_ms: float,
                facts: dict) -> dict:
+    import speed
+
     import numpy as np
 
     blas = "unknown"
@@ -94,7 +84,8 @@ def provenance(args: argparse.Namespace, loadavg: tuple, loop_ms: float,
         "blas": blas,
         "blas_threads": {k: os.environ.get(k) for k in BLAS_THREAD_ENV},
         "loadavg_at_start": list(loadavg),
-        "machine_loop_ms": loop_ms,
+        "host_loop_ms_at_start": loop_ms,
+        "host_loop_reference_ms": speed.REFERENCE_LOOP_MS,
         "seed": args.seed,
         "repro_env": {k: v for k, v in sorted(os.environ.items())
                       if k.startswith("REPRO_")},
@@ -146,7 +137,6 @@ def report(args, result, spec: dict, limit: float) -> dict:
 def main(argv: list[str]) -> int:
     args = parse_args(argv)
     loadavg = os.getloadavg()
-    loop_ms = machine_loop_ms()
     if not (ROOT / "src" / "repro" / "__init__.py").is_file():
         return fail(f"no program to measure: {ROOT / 'src' / 'repro'} is missing")
     found = [k for k in FORBIDDEN_ENV if os.environ.get(k)]
@@ -155,7 +145,10 @@ def main(argv: list[str]) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     sys.path[:0] = [str(ROOT / "src"), str(HERE)]
 
+    import speed
     import workloads
+
+    loop_ms = speed.loop_ms()
 
     if args.workload not in workloads.WORKLOADS:
         return fail(f"unknown workload {args.workload!r}; known: "

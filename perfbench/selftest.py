@@ -8,13 +8,15 @@ For every workload it runs ``run.py`` untraced and traced and asserts:
 exit code 0; a last line with exactly ``correct``/``attempted``/
 ``failed``/``metrics``; every check passed and no operation failed;
 every end-to-end (untraced) or per-layer (traced) metric of
-``BENCHMARK.json`` reported once, with its unit, as a finite number
-(end-to-end ones above 0), and the ungated throughput and latency
-metrics printed; a reconciliation whose unaccounted share is
-within 10%.  It also asserts that sessions-http and sessions-local
-report the same outcome digest, that ``predictions.json`` names every
-per-layer metric exactly once, and that the command fails without
-printing a result in a directory holding only the benchmark.
+``BENCHMARK.json`` reported once, with its unit, as a finite number,
+and the ungated throughput and latency metrics printed; every
+end-to-end metric above 0, and every per-layer metric above 0 on the
+workloads ``predictions.json`` says the traced run observes it on; a
+reconciliation whose unaccounted share is within 10%.  It also
+asserts that sessions-http and sessions-local report the same outcome
+digest, that ``predictions.json`` names every per-layer metric exactly
+once, and that the command fails without printing a result in a
+directory holding only the benchmark.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ KEYS = {"correct", "attempted", "failed", "metrics"}
 #: Printed with unit and sample count on every workload, but not gated
 #: (see run.py).
 REPORTED = {"sessions_per_s": "sessions/s", "session_rounds_per_s": "rounds/s",
+            "sessions_per_wall_s": "sessions/s",
+            "session_rounds_per_wall_s": "rounds/s", "setup_wall_s": "s",
             "step_p50_us": "us", "step_p99_us": "us"}
 
 
@@ -96,6 +100,11 @@ def main(argv: list[str]) -> int:
     assert sorted(predicted) == sorted(per_layer), (
         "predictions.json and BENCHMARK.json per_layer differ: "
         f"{sorted(set(predicted) ^ set(per_layer))}")
+    observed = {entry["name"]: set() for entry in spec["workloads"]}
+    for row in table["layers"]:
+        for workload in row["observed_on"]:
+            observed[workload].update(name for name in row["metrics"]
+                                      if name not in table["not_positive"])
 
     check_bare_directory()
     print("ok   bare directory: fails without a result")
@@ -115,9 +124,12 @@ def main(argv: list[str]) -> int:
                            per_layer, f"{workload} --trace 1", False)
         share = traced["metrics"]["obs.unaccounted_share"]["value"]
         assert abs(share) <= 0.10, f"{workload}: unaccounted {share:.1%}"
-        assert traced["metrics"]["obs.tracing_overhead"]["value"] > 0
+        missing = sorted(name for name in observed[workload]
+                         if not traced["metrics"][name]["value"] > 0)
+        assert not missing, f"{workload}: observed layer metrics not > 0: {missing}"
         print(f"ok   {workload}: {len(end_to_end)} end-to-end and "
-              f"{len(per_layer)} per-layer metrics, unaccounted {share:.2%}")
+              f"{len(per_layer)} per-layer metrics ({len(observed[workload])} "
+              f"observed > 0), unaccounted {share:.2%}")
     assert digests["sessions-http"] == digests["sessions-local"], digests
     print(f"ok   sessions-http and sessions-local outcome digests agree "
           f"({digests['sessions-local']})")

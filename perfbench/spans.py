@@ -9,8 +9,8 @@ lines.  A layer's self time is its spans' durations minus the time their
 child spans cover.
 
 The recorder keeps one stack, so it assumes the wrapped calls happen on
-one thread: true of every workload's load generator and of the job
-executor's parent (chunks run in worker processes, never in threads).
+one thread: true of every workload's load generator, and of the job
+chunks the traced run replays in the benchmark process.
 """
 
 from __future__ import annotations
@@ -61,13 +61,15 @@ class Tracer:
         self._undo: list[tuple[object, str, object]] = []
 
     # ------------------------------------------------------------------
-    def _record(self, name: str, fn: Callable, count: CountFn | None):
+    def traced(self, name: str, fn: Callable,
+               count: CountFn | None = None) -> Callable:
+        """``fn`` wrapped to record a span named ``name`` per call."""
         names, starts, ends = self.names, self.starts, self.ends
         parents, traces = self.parents, self.traces
         stack, counts = self._stack, self.counts
         clock = time.perf_counter_ns
 
-        def traced(*args, **kwargs):
+        def wrapper(*args, **kwargs):
             index = len(names)
             names.append(name)
             parents.append(stack[-1] if stack else -1)
@@ -84,13 +86,8 @@ class Tracer:
                 counts[name] += count(args, result)
             return result
 
-        traced.__wrapped__ = fn  # type: ignore[attr-defined]
-        return traced
-
-    def traced(self, name: str, fn: Callable,
-               count: CountFn | None = None) -> Callable:
-        """``fn`` wrapped to record a span named ``name`` per call."""
-        return self._record(name, fn, count)
+        wrapper.__wrapped__ = fn  # type: ignore[attr-defined]
+        return wrapper
 
     def wrap(self, owner: object, attr: str, name: str,
              count: CountFn | None = None) -> None:
@@ -102,10 +99,10 @@ class Tracer:
             original = getattr(owner, attr)
         if isinstance(original, classmethod):
             replacement: object = classmethod(
-                self._record(name, original.__func__, count)
+                self.traced(name, original.__func__, count)
             )
         else:
-            replacement = self._record(name, original, count)
+            replacement = self.traced(name, original, count)
         setattr(owner, attr, replacement)
         self._undo.append((owner, attr, original))
 

@@ -44,6 +44,7 @@ from repro.utils.canonical import content_digest
 
 import layers
 from spans import Tracer
+from speed import HostClock
 
 #: The titanic market every titanic workload trades on is a fixed
 #: fixture; ``--seed`` draws the sessions and populations that use it.
@@ -53,11 +54,15 @@ MARKET_SEED = 0
 TITANIC = MarketSpec(dataset="titanic", seed=MARKET_SEED, no_cache=True)
 #: The paper's Table 3 cost schedules, applied to both parties.  Games
 #: last 21-53 rounds depending on the schedule.
-TABLE3_COSTS = (None, ("linear", 1.0), ("exponential", 1.1))
 TABLE3_COST_MIX = (("none", 0.0, 1.0), ("linear", 1.0, 1.0),
                    ("exponential", 1.1, 1.0))
+#: The same schedules as a ``SessionSpec`` cost (``None`` for no cost).
+TABLE3_COSTS = tuple(None if kind == "none" else (kind, a)
+                     for kind, a, _ in TABLE3_COST_MIX)
 #: Independent set-ups per run; ``setup_s`` is their median.
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
+#: Seconds of closed-loop sessions between two host-speed calibrations.
+LAP_S = 1.5
 #: Sessions whose outcome-list digest the session checks compare.
 CHECK_SESSIONS = 40
 #: One sim-kernel pass: eight kernel batches of the default width 1024.
@@ -152,8 +157,22 @@ def retry_attempts() -> float:
     return sum(family["series"].values()) if family else 0.0
 
 
-def _setup_metric(result: Result, times: list[float]) -> None:
-    result.metrics["setup_s"] = (statistics.median(times), "s", len(times))
+def _setup_metric(result: Result, clock: HostClock, *, in_process: bool) -> None:
+    """``setup_s``: the median of the clock's set-up laps.
+
+    Scaled to the reference host speed when the set-up runs in this
+    process; wall time when it runs in child processes (the server, the
+    shard workers), whose speed the loop in this process does not
+    track.  Over five seeds the scaled figure spread far less than the
+    wall one in this process (IQR/median: sim-kernel 0.06 against 0.35,
+    sessions-local 0.09 against 0.22) and more in children
+    (sessions-http 0.23 against 0.11, job-mixed-secure 0.17 against
+    0.13).  ``setup_wall_s`` gives the wall median everywhere.
+    """
+    n = len(clock.walls)
+    laps = clock.scaled if in_process else clock.walls
+    result.metrics["setup_s"] = (statistics.median(laps), "s", n)
+    result.metrics["setup_wall_s"] = (statistics.median(clock.walls), "s", n)
 
 
 def _traced_phase(tracer: Tracer, fn, *args):
@@ -183,7 +202,7 @@ def cost_schedules(seed: int):
 
 @dataclass
 class SessionLoop:
-    wall: float
+    clock: HostClock
     steps: int
     latencies_us: list
     outcomes: list
@@ -195,10 +214,10 @@ def play_sessions(client: MarketplaceClient, market: str, seed: int,
     """One closed-loop client: runs 0..N-1, one ``/step`` call at a time."""
     latencies: list[float] = []
     outcomes: list = []
-    clock = time.perf_counter_ns
+    ns = time.perf_counter_ns
     schedules = cost_schedules(seed)
-    start = time.perf_counter()
-    deadline = start + seconds
+    clock = HostClock()
+    deadline = time.perf_counter() + seconds
     run = 0
     while (limit is None and time.perf_counter() < deadline) or (
             limit is not None and run < limit):
@@ -213,18 +232,19 @@ def play_sessions(client: MarketplaceClient, market: str, seed: int,
         session = opened["session"]
         state = None
         while True:
-            t0 = clock()
+            t0 = ns()
             state = ops.call(client.step, session)
             if state is None:
                 latencies.append(math.inf)
                 break
-            latencies.append((clock() - t0) / 1e3)
+            latencies.append((ns() - t0) / 1e3)
             if state["done"]:
                 break
         outcomes.append(state["outcome"] if state is not None else None)
         ops.call(client.close_session, session)
-    wall = time.perf_counter() - start
-    return SessionLoop(wall, len(latencies), latencies, outcomes)
+        clock.lap_every(LAP_S)
+    clock.lap()
+    return SessionLoop(clock, len(latencies), latencies, outcomes)
 
 
 def outcome_digest(outcomes: list, count: int) -> str:
@@ -232,13 +252,17 @@ def outcome_digest(outcomes: list, count: int) -> str:
 
 
 def _throughput_metrics(result: Result, sessions: int, rounds: int,
-                        wall: float, round_us: list[float]) -> None:
-    """Throughput over the timed wall, and the latency of one unit of
-    work per session-round it advanced: a /step call (one round), a
-    sim-kernel pass, or a job chunk."""
+                        clock: HostClock, round_us: list[float]) -> None:
+    """Throughput over the timed phase's scaled time (and its wall time,
+    for information), and the wall latency of one unit of work per
+    session-round it advanced: a /step call (one round), a sim-kernel
+    pass, or a job chunk."""
     n = len(round_us)
-    result.metrics["sessions_per_s"] = (sessions / wall, "sessions/s", sessions)
-    result.metrics["session_rounds_per_s"] = (rounds / wall, "rounds/s", rounds)
+    scaled, wall = clock.scaled_s, clock.wall_s
+    result.metrics["sessions_per_s"] = (sessions / scaled, "sessions/s", sessions)
+    result.metrics["session_rounds_per_s"] = (rounds / scaled, "rounds/s", rounds)
+    result.metrics["sessions_per_wall_s"] = (sessions / wall, "sessions/s", sessions)
+    result.metrics["session_rounds_per_wall_s"] = (rounds / wall, "rounds/s", rounds)
     result.metrics["step_p50_us"] = (percentile(round_us, 0.50), "us", n)
     result.metrics["step_p99_us"] = (percentile(round_us, 0.99), "us", n)
 
@@ -246,7 +270,7 @@ def _throughput_metrics(result: Result, sessions: int, rounds: int,
 def _session_metrics(result: Result, loop: SessionLoop) -> None:
     done = [o for o in loop.outcomes if o is not None]
     _throughput_metrics(result, len(done), sum(o["n_rounds"] for o in done),
-                        loop.wall, loop.latencies_us)
+                        loop.clock, loop.latencies_us)
 
 
 def _timed_sessions(ctx: Context, result: Result, client, market: str,
@@ -265,7 +289,8 @@ def _timed_sessions(ctx: Context, result: Result, client, market: str,
                            ctx.seconds / 2, ops)
     scrapes = (before, scrape()) if scrape else None
     result.layers["obs.tracing_overhead"] = (
-        (traced.wall / traced.steps) / (plain.wall / plain.steps)
+        (traced.clock.scaled_s / traced.steps)
+        / (plain.clock.scaled_s / plain.steps)
     )
     return plain, traced, tracer, scrapes
 
@@ -276,17 +301,16 @@ def sessions_local(ctx: Context) -> Result:
     setup_tracer = Tracer()
     if ctx.trace:
         layers.install(setup_tracer)
-    times = []
+    clock = HostClock()
     try:
         for _ in range(SETUP_REPEATS):
-            t0 = time.perf_counter()
             client = MarketplaceClient.local(
                 manager=SessionManager(pool=MarketPool()))
             market = client.build_market(TITANIC)["market"]
-            times.append(time.perf_counter() - t0)
+            clock.lap()
     finally:
         setup_tracer.unwrap()
-    _setup_metric(result, times)
+    _setup_metric(result, clock, in_process=True)
 
     loop, traced, tracer, _ = _timed_sessions(ctx, result, client, market,
                                               ops)
@@ -317,7 +341,7 @@ def sessions_local(ctx: Context) -> Result:
                                                       setup_tracer.counts))
         totals = tracer.totals()
         result.layers.update(layers.sessions_from_spans(totals))
-        per_step = traced.wall * 1e6 / traced.steps
+        per_step = traced.clock.wall_s * 1e6 / traced.steps
         _reconcile(result, "us/step", per_step,
                    layers.self_rows(totals, traced.steps, 1e3))
     return result
@@ -394,7 +418,7 @@ def histogram_totals(text: str, family: str) -> tuple[float, float]:
 def sessions_http(ctx: Context) -> Result:
     result = Result()
     ops = Ops(result)
-    times = []
+    clock = None
     server = client = None
     retries_before = retry_attempts()
     try:
@@ -402,14 +426,16 @@ def sessions_http(ctx: Context) -> Result:
             if server is not None:
                 client.close()
                 server.stop()
-            t0 = time.perf_counter()
+            if clock is None:
+                clock = HostClock()
+            clock.start()
             server = ServerChild(ctx, str(rep))
             client = MarketplaceClient.connect(server.url)
             client.healthz()
             built = client.build_market(TITANIC)
-            times.append(time.perf_counter() - t0)
+            clock.lap()
         market = built["market"]
-        _setup_metric(result, times)
+        _setup_metric(result, clock, in_process=False)
         result.facts["server_transport"] = server_header(server.url)
 
         loop, traced, tracer, scrapes = _timed_sessions(
@@ -447,7 +473,7 @@ def sessions_http(ctx: Context) -> Result:
         result.layers.update(layers.sessions_from_spans(totals))
         result.layers.update(layers.http_from_spans(
             totals, server_s * 1e9, server_requests, result.retried))
-        per_step = traced.wall * 1e6 / traced.steps
+        per_step = traced.clock.wall_s * 1e6 / traced.steps
         http_ns = totals.self_ns["client.http.request"] - server_s * 1e9
         rows = [("client.sdk", totals.self_ns["client.sdk"] / 1e3 / traced.steps),
                 ("client.http.transport", http_ns / 1e3 / traced.steps),
@@ -461,10 +487,11 @@ def sessions_http(ctx: Context) -> Result:
 # ----------------------------------------------------------------------
 def _sim_passes(population, spec: SimulationSpec, seconds: float):
     """Whole-population passes (SessionPool.run + report) until time is
-    up.  A pass's latency is reported per session-round it advanced."""
+    up, one lap of the clock each.  A pass's latency is reported per
+    session-round it advanced."""
     round_us, digests, rounds = [], [], 0
-    start = time.perf_counter()
-    deadline = start + seconds
+    clock = HostClock()
+    deadline = time.perf_counter() + seconds
     while not round_us or time.perf_counter() < deadline:
         t0 = time.perf_counter_ns()
         pool_result = SessionPool(population, batch_size=spec.batch_size).run()
@@ -475,7 +502,8 @@ def _sim_passes(population, spec: SimulationSpec, seconds: float):
         round_us.append(elapsed_us / pass_rounds)
         digests.append(report.digest())
         rounds += pass_rounds
-    return time.perf_counter() - start, round_us, digests, rounds
+        clock.lap()
+    return clock, round_us, digests, rounds
 
 
 def sim_kernel(ctx: Context) -> Result:
@@ -489,23 +517,22 @@ def sim_kernel(ctx: Context) -> Result:
     setup_tracer = Tracer()
     if ctx.trace:
         layers.install(setup_tracer)
-    times = []
+    clock = HostClock()
     try:
         for _ in range(SETUP_REPEATS):
-            t0 = time.perf_counter()
             oracle = MarketPool().get(backing).oracle
             population = population_mod.sample_population(
                 spec.population_spec(), spec.sessions, seed=spec.seed,
                 oracle=oracle)
-            times.append(time.perf_counter() - t0)
+            clock.lap()
     finally:
         setup_tracer.unwrap()
-    _setup_metric(result, times)
+    _setup_metric(result, clock, in_process=True)
 
     seconds = ctx.seconds / 2 if ctx.trace else ctx.seconds
-    wall, round_us, digests, rounds = _sim_passes(population, spec, seconds)
+    clock, round_us, digests, rounds = _sim_passes(population, spec, seconds)
     result.attempted = n = len(round_us)
-    _throughput_metrics(result, n * spec.sessions, rounds, wall, round_us)
+    _throughput_metrics(result, n * spec.sessions, rounds, clock, round_us)
     result.metrics["peak_rss_mb"] = (vm_hwm_mb(), "MB", None)
 
     # Check: every pass reports the digest of a single run_simulation.
@@ -518,12 +545,14 @@ def sim_kernel(ctx: Context) -> Result:
 
     if ctx.trace:
         tracer = Tracer()
-        t_wall, _, t_digests, t_rounds = _traced_phase(
+        t_clock, _, t_digests, t_rounds = _traced_phase(
             tracer, _sim_passes, population, spec, ctx.seconds / 2)
         result.check("traced pass digests equal untraced",
                      set(t_digests) == set(digests),
                      f"{len(t_digests)} traced passes")
-        result.layers["obs.tracing_overhead"] = (t_wall / t_rounds) / (wall / rounds)
+        result.layers["obs.tracing_overhead"] = (
+            (t_clock.scaled_s / t_rounds) / (clock.scaled_s / rounds))
+        t_wall = t_clock.wall_s
         result.tracers += [("setup", setup_tracer), ("timed", tracer)]
         setup_totals = setup_tracer.totals()
         result.layers.update(layers.oracle_from_spans(setup_totals,
@@ -549,53 +578,74 @@ def _reset_process_memos() -> None:
     security_batch._SETTLEMENTS.clear()
 
 
-def _run_job(ctx: Context, spec: SimulationSpec, tag: str, errors: list):
-    """One sharded job on a fresh store; returns (wall, store, record)."""
+def _run_job(ctx: Context, spec: SimulationSpec, tag: str, errors: list,
+             clock: HostClock):
+    """One sharded job on a fresh store, its run one lap of ``clock``;
+    returns (store, record)."""
     _reset_process_memos()
     store = JobStore(str(ctx.tmp / f"job-{tag}.sqlite3"))
     executor = ShardedExecutor(store, shards=JOB_SHARDS)
     submitted = executor.submit(spec)
-    t0 = time.perf_counter()
+    clock.start()
     try:
         executor.run(submitted.job_id)
     except Exception as exc:  # the store marks the job failed; count it
         errors.append(f"job {submitted.job_id}: {exc!r}")
-    return time.perf_counter() - t0, store, store.get(submitted.job_id)
+    clock.lap()
+    return store, store.get(submitted.job_id)
 
 
-def _job_setup(ctx: Context, spec: SimulationSpec, rep: int) -> float:
-    """Seconds before a shard starts its first chunk's work: store open,
-    submit, worker start, population sampling and key generation.  A
-    one-chunk run (``max_chunks=1``) minus that chunk's own work time."""
+def _job_setup(ctx: Context, spec: SimulationSpec, rep: int,
+               clock: HostClock) -> None:
+    """One lap of ``clock`` for the time before a shard starts its first
+    chunk's work: store open, submit, worker start, population sampling
+    and key generation.  A one-chunk run (``max_chunks=1``) less that
+    chunk's own work time."""
     _reset_process_memos()
-    t0 = time.perf_counter()
+    clock.start()
     store = JobStore(str(ctx.tmp / f"setup-{rep}.sqlite3"))
     executor = ShardedExecutor(store, shards=JOB_SHARDS, max_chunks=1)
     job = executor.submit(spec)
     executor.run(job.job_id)
-    wall = time.perf_counter() - t0
     (chunk,) = store.chunk_results(job.job_id).values()
-    return wall - chunk["elapsed"]
+    clock.lap(exclude=chunk["elapsed"])
+
+
+@dataclass
+class JobLoop:
+    #: one lap per job: its executor run
+    clock: HostClock
+    n_chunks: int = 0
+    #: per job, the worker-reported ``elapsed`` of each chunk, in ms
+    chunk_ms: list = field(default_factory=list)
+    #: per chunk, its elapsed time per session-round it advanced, in us
+    round_us: list = field(default_factory=list)
+    digests: list = field(default_factory=list)
+    rounds: int = 0
+    failed_chunks: int = 0
 
 
 def _job_loop(ctx: Context, spec: SimulationSpec, seconds: float, tag: str,
-              result: Result):
+              result: Result) -> JobLoop:
     """Sharded jobs back to back until time is up."""
-    walls, round_us, digests, rounds = [], [], [], 0
-    start = time.perf_counter()
-    while not walls or time.perf_counter() - start < seconds:
-        wall, store, record = _run_job(ctx, spec, f"{tag}{len(walls)}",
-                                       result.errors)
-        walls.append(wall)
-        digests.append(record.digest)
+    loop = JobLoop(HostClock())
+    deadline = time.perf_counter() + seconds
+    while not loop.digests or time.perf_counter() < deadline:
+        store, record = _run_job(ctx, spec, f"{tag}{len(loop.digests)}",
+                                 result.errors, loop.clock)
+        loop.digests.append(record.digest)
+        loop.n_chunks = record.n_chunks
         chunks = store.chunk_results(record.job_id)
         result.attempted += record.n_chunks
         result.failed += record.n_chunks - len(chunks)
+        loop.failed_chunks += record.n_chunks - len(chunks)
+        loop.chunk_ms.append([payload["elapsed"] * 1e3
+                              for payload in chunks.values()])
         for payload in chunks.values():
             chunk_rounds = sum(payload["n_rounds"])
-            round_us.append(payload["elapsed"] * 1e6 / chunk_rounds)
-            rounds += chunk_rounds
-    return walls, round_us, digests, rounds
+            loop.round_us.append(payload["elapsed"] * 1e6 / chunk_rounds)
+            loop.rounds += chunk_rounds
+    return loop
 
 
 def job_mixed_secure(ctx: Context) -> Result:
@@ -604,71 +654,76 @@ def job_mixed_secure(ctx: Context) -> Result:
         sessions=JOB_SESSIONS, preset="synthetic", seed=ctx.seed,
         strategy_mix=JOB_MIX, secure=True, key_bits=JOB_KEY_BITS,
     )
-    times = [_job_setup(ctx, spec, rep) for rep in range(SETUP_REPEATS)]
-    _setup_metric(result, times)
+    clock = HostClock()
+    for rep in range(SETUP_REPEATS):
+        _job_setup(ctx, spec, rep, clock)
+    _setup_metric(result, clock, in_process=False)
 
     seconds = ctx.seconds / 2 if ctx.trace else ctx.seconds
-    walls, round_us, digests, rounds = _job_loop(ctx, spec, seconds, "plain",
-                                                 result)
-    _throughput_metrics(result, len(walls) * spec.sessions, rounds, sum(walls),
-                        round_us)
+    loop = _job_loop(ctx, spec, seconds, "plain", result)
+    _throughput_metrics(result, len(loop.digests) * spec.sessions,
+                        loop.rounds, loop.clock, loop.round_us)
     result.metrics["peak_rss_mb"] = (
         vm_hwm_mb() + JOB_SHARDS * children_peak_mb(), "MB", None)
 
     if ctx.trace:
-        _trace_job(ctx, spec, result, walls)
+        _trace_job(ctx, spec, result, loop)
 
     # Check: the sharded merge equals one single-process run of the spec.
     _reset_process_memos()
     _, _, reference = run_simulation(spec)
     result.check("merged job digest equals single-process run_simulation",
-                 set(digests) == {reference.digest()},
-                 f"digest {reference.digest()} over {len(walls)} jobs")
+                 set(loop.digests) == {reference.digest()},
+                 f"digest {reference.digest()} over {len(loop.digests)} jobs")
     result.facts["report_digest"] = reference.digest()
     return result
 
 
-def _trace_job(ctx: Context, spec: SimulationSpec, result: Result,
-               plain_walls: list[float]) -> None:
-    """Executor-level spans from one traced sharded job; chunk-internal
-    layers from the same chunk layout run in this process (shard
-    workers are other processes, which the benchmark cannot wrap)."""
-    sharded = Tracer()
-    wall, store, record = _traced_phase(sharded, _run_job, ctx, spec, "traced",
-                                        result.errors)
-    chunks = store.chunk_results(record.job_id)
-    elapsed_ms = [payload["elapsed"] * 1e3 for payload in chunks.values()]
-    result.layers["obs.tracing_overhead"] = wall / statistics.median(plain_walls)
-    result.layers.update(layers.jobs_from_spans(
-        sharded.totals(), elapsed_ms, wall, JOB_SHARDS,
-        record.n_chunks - len(chunks)))
-
-    inproc = Tracer()
-    store = JobStore(str(ctx.tmp / "job-inprocess.sqlite3"))
+def _in_process_job(ctx: Context, spec: SimulationSpec, n_chunks: int,
+                    tag: str, run_chunk):
+    """The sharded job's chunk layout run chunk by chunk in this process,
+    then merged; returns (clock with one lap, report)."""
+    store = JobStore(str(ctx.tmp / f"job-inprocess-{tag}.sqlite3"))
     job = store.submit("simulation", spec.to_dict(),
-                       chunk_layout(spec.sessions, record.n_chunks))
-    run_chunk = inproc.traced("jobs.chunk", run_simulation_chunk)
+                       chunk_layout(spec.sessions, n_chunks))
+    _reset_process_memos()
+    clock = HostClock()
+    for index, (start, stop) in enumerate(job.chunks):
+        store.record_chunk(job.job_id, index,
+                           run_chunk(spec.to_dict(), start, stop))
+    _, _, report = executor_mod.merge_simulation_chunks(
+        spec, store.chunk_results(job.job_id))
+    clock.lap()
+    return clock, report
 
-    def in_process_job():
-        _reset_process_memos()
-        t0 = time.perf_counter()
-        for index, (start, stop) in enumerate(job.chunks):
-            store.record_chunk(job.job_id, index,
-                               run_chunk(spec.to_dict(), start, stop))
-        _, _, report = executor_mod.merge_simulation_chunks(
-            spec, store.chunk_results(job.job_id))
-        return time.perf_counter() - t0, report
 
-    t_wall, report = _traced_phase(inproc, in_process_job)
-    result.tracers += [("sharded", sharded), ("in-process", inproc)]
-    result.check("in-process traced job digest equals sharded",
-                 report.digest() == record.digest, report.digest())
-    totals = inproc.totals()
+def _trace_job(ctx: Context, spec: SimulationSpec, result: Result,
+               plain: JobLoop) -> None:
+    """Chunk times and busy ratio come from the untraced sharded jobs.
+    Shard workers are other processes, which the benchmark does not
+    wrap, so the layers inside a chunk, the store writes and the merge
+    come from the same chunk layout run in this process, once untraced
+    and once traced (which also gives the tracing overhead)."""
+    untraced, report = _in_process_job(ctx, spec, plain.n_chunks, "plain",
+                                       run_simulation_chunk)
+    tracer = Tracer()
+    traced, t_report = _traced_phase(
+        tracer, _in_process_job, ctx, spec, plain.n_chunks, "traced",
+        tracer.traced("jobs.chunk", run_simulation_chunk))
+    result.tracers.append(("in-process", tracer))
+    result.check("in-process job digests equal sharded",
+                 {report.digest(), t_report.digest()} == set(plain.digests),
+                 t_report.digest())
+    result.layers["obs.tracing_overhead"] = traced.scaled_s / untraced.scaled_s
+    totals = tracer.totals()
+    result.layers.update(layers.jobs_from_runs(
+        totals, plain.chunk_ms, plain.clock.walls, JOB_SHARDS,
+        plain.failed_chunks))
     result.layers.update(layers.population_from_spans(totals))
-    result.layers.update(layers.simulate_from_spans(totals, inproc.counts))
+    result.layers.update(layers.simulate_from_spans(totals, tracer.counts))
     result.layers.update(layers.sessions_from_spans(totals))
-    result.layers.update(layers.security_from_spans(totals, inproc.counts))
-    _reconcile(result, "ms/in-process job", t_wall * 1e3,
+    result.layers.update(layers.security_from_spans(totals, tracer.counts))
+    _reconcile(result, "ms/in-process job", traced.wall_s * 1e3,
                layers.self_rows(totals, 1, 1e6))
 
 
