@@ -846,7 +846,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         shards=args.shards,
         drain_timeout=args.drain_timeout,
         eviction_interval=args.eviction_interval,
-        use_async=args.use_async,
         http_workers=args.http_workers,
         verbose=args.verbose,
         join=args.join,

@@ -18,8 +18,9 @@ This package is that platform's programmatic surface, layered as:
 * :mod:`~repro.service.simulation` — population-simulation jobs as
   specs (:func:`run_simulation`).
 * :mod:`~repro.service.server` — ``python -m repro serve``: a stdlib
-  JSON-over-HTTP view of the manager, so many clients can bargain
-  against one warm oracle concurrently.
+  asyncio JSON-over-HTTP view of the manager, so many clients can
+  bargain against one warm oracle concurrently (imported on demand, so
+  embedded users never load the server).
 
 Typical embedded use::
 
@@ -51,7 +52,6 @@ from repro.service.registry import (
     register_dataset,
     register_task_strategy,
 )
-from repro.service.server import create_server, run_server
 from repro.service.simulation import run_simulation
 from repro.service.specs import BatchSpec, MarketSpec, SessionSpec, SimulationSpec
 
@@ -67,14 +67,12 @@ __all__ = [
     "SessionSpec",
     "SimulationSpec",
     "StrategyContext",
-    "create_server",
     "register_base_model",
     "register_cost",
     "register_data_strategy",
     "register_dataset",
     "register_task_strategy",
     "registry",
-    "run_server",
     "run_simulation",
     "shared_pool",
 ]

@@ -276,6 +276,10 @@ class JobService:
                 return False
             if store.get(job_id).finished or self.stop_event.is_set():
                 return False
+            # Before the reply goes out: a resumed job still reads
+            # `interrupted` (terminal) until the worker thread gets going,
+            # and an event stream opened on the reply would end on it.
+            store.set_status(job_id, "running")
             thread = threading.Thread(
                 target=work, name=f"job-{job_id}", daemon=True
             )

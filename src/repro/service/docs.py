@@ -36,14 +36,14 @@ Legacy unversioned paths (`/sessions`, `/jobs`, ...) answer with a
 deprecation envelope: `301` plus a `Location` header for `GET`
 (stdlib clients follow it transparently), `410` for everything else.
 
-Two interchangeable transports serve this table: the threaded stdlib
-server (`python -m repro serve`) and the asyncio server (`--async`,
-with `--coalesce-window` micro-batching and `--http-workers` for the
-handler pool) — payloads are byte-identical by construction, so
-clients never need to know which one answered.  During a graceful
-drain both reply `503` with a `Retry-After` hint; the SDK's HTTP
-transport retries `429`/`503` automatically (honouring `Retry-After`,
-jittered exponential backoff).
+`python -m repro serve` serves this table from one asyncio event loop
+(`--coalesce-window` turns on micro-batching, `--http-workers` sizes
+the pool for handlers that may block); the in-process
+`LocalTransport` dispatches the same table, so payloads are
+byte-identical by construction.  During a graceful drain the server
+replies `503` with a `Retry-After` hint; the SDK's HTTP transport
+retries `429`/`503` automatically (honouring `Retry-After`, jittered
+exponential backoff).
 
 Clients should prefer the SDK (`repro.client.MarketplaceClient`) over
 raw HTTP: it maps this protocol onto typed methods and errors, and its

@@ -205,7 +205,7 @@ class TestRealModulesStayClean:
         for rel in (
             "src/repro/service/manager.py",
             "src/repro/service/api.py",
-            "src/repro/service/async_server.py",
+            "src/repro/service/server.py",
             "src/repro/client/http.py",
             "src/repro/security/batch.py",
             "src/repro/fleet/agent.py",

@@ -21,7 +21,8 @@ from repro.client import (
     TransportError,
     error_from_reply,
 )
-from repro.service import MarketPool, SessionManager, create_server
+from repro.service import MarketPool, SessionManager
+from repro.service.server import MarketplaceServer
 
 
 @pytest.fixture(scope="module")
@@ -32,16 +33,14 @@ def service(tmp_path_factory):
     store = JobStore(
         str(tmp_path_factory.mktemp("http-transport") / "jobs.sqlite3")
     )
-    server = create_server(
+    server = MarketplaceServer(
         port=0,
         manager=SessionManager(pool=MarketPool()),
         jobs=JobService(store, shards=2),
     )
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    url = "http://%s:%s" % server.server_address[:2]
+    url = "http://%s:%s" % server.start_background()
     yield {"url": url, "server": server}
     server.shutdown()
-    server.server_close()
 
 
 def _dead_port() -> int:

@@ -1,6 +1,6 @@
 """Multi-host jobs: RemoteShardExecutor vs the single-process digest.
 
-Workers here are real ``create_server`` instances on ephemeral ports —
+Workers here are real ``MarketplaceServer`` instances on ephemeral ports —
 the same processes ``python -m repro serve`` would run — and the
 coordinator ships chunks to them over ``POST /v1/chunks``.  The merged
 report must digest-match the single-process
@@ -18,17 +18,18 @@ from repro.service import (
     MarketPool,
     SessionManager,
     SimulationSpec,
-    create_server,
     run_simulation,
 )
+from repro.service.server import MarketplaceServer
 
 SPEC = SimulationSpec(sessions=120, seed=11, batch_size=32)
 
 
 def _worker():
-    server = create_server(port=0, manager=SessionManager(pool=MarketPool()))
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    return server, "http://%s:%s" % server.server_address[:2]
+    server = MarketplaceServer(
+        port=0, manager=SessionManager(pool=MarketPool())
+    )
+    return server, "http://%s:%s" % server.start_background()
 
 
 @pytest.fixture
@@ -37,7 +38,6 @@ def workers():
     yield [url for _, url in started]
     for server, _ in started:
         server.shutdown()
-        server.server_close()
 
 
 @pytest.fixture
@@ -81,7 +81,6 @@ class TestKillResume:
             # executor must discover the corpse and finish on the
             # survivor — with only the pending chunks re-run.
             w1.shutdown()
-            w1.server_close()
             resumed = RemoteShardExecutor(
                 store, [u1, u2],
                 client_options={"retries": 0, "timeout": 10},
@@ -92,7 +91,6 @@ class TestKillResume:
         finally:
             for server in (w2,):
                 server.shutdown()
-                server.server_close()
 
     def test_dead_worker_is_dropped_and_chunks_requeued(self, store,
                                                         reference_digest):
@@ -101,7 +99,6 @@ class TestKillResume:
         )
         try:
             dead_server.shutdown()
-            dead_server.server_close()
             executor = RemoteShardExecutor(
                 store, [dead_url, alive_url],
                 client_options={"retries": 0, "timeout": 10},
@@ -111,13 +108,11 @@ class TestKillResume:
             assert record.digest == reference_digest
         finally:
             alive_server.shutdown()
-            alive_server.server_close()
 
     def test_all_workers_dead_leaves_job_resumable(self, store,
                                                    reference_digest):
         server, url = _worker()
         server.shutdown()
-        server.server_close()
         executor = RemoteShardExecutor(
             store, [url], client_options={"retries": 0, "timeout": 5}
         )
@@ -133,7 +128,6 @@ class TestKillResume:
             assert record.digest == reference_digest
         finally:
             live_server.shutdown()
-            live_server.server_close()
 
 
 class TestFailureSemantics:
@@ -229,4 +223,3 @@ class TestHungWorker:
         finally:
             close_hung()
             good_server.shutdown()
-            good_server.server_close()

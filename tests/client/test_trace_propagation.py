@@ -1,6 +1,6 @@
 """Cross-host tracing: one RemoteShardExecutor sweep, one stitched trace.
 
-Workers are real ``create_server`` instances on ephemeral ports.  The
+Workers are real ``MarketplaceServer`` instances on ephemeral ports.  The
 coordinator's sweep opens a root span; every chunk POST carries the
 trace id in its ``traceparent`` header; the worker-side dispatch and
 chunk-runner spans join the same trace.  Because the workers live in
@@ -8,22 +8,22 @@ this process, every span lands in the shared ``obs.TRACER`` and the
 whole tree can be asserted in one place.
 """
 
-import threading
-
 import pytest
 
 from repro import obs
 from repro.jobs import JobStore, RemoteShardExecutor
-from repro.service import MarketPool, SessionManager, SimulationSpec, create_server
+from repro.service import MarketPool, SessionManager, SimulationSpec
+from repro.service.server import MarketplaceServer
 
 SPEC = SimulationSpec(sessions=60, seed=3, batch_size=32)
 N_CHUNKS = 4
 
 
 def _worker():
-    server = create_server(port=0, manager=SessionManager(pool=MarketPool()))
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    return server, "http://%s:%s" % server.server_address[:2]
+    server = MarketplaceServer(
+        port=0, manager=SessionManager(pool=MarketPool())
+    )
+    return server, "http://%s:%s" % server.start_background()
 
 
 @pytest.fixture
@@ -32,7 +32,6 @@ def workers():
     yield [url for _, url in started]
     for server, _ in started:
         server.shutdown()
-        server.server_close()
 
 
 class TestRemoteSweepTracing:

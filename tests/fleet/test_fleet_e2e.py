@@ -1,6 +1,6 @@
 """Elastic fleet end to end: join, pull, steal, adopt — digest-pinned.
 
-Coordinators here are real ``create_server`` instances; workers are
+Coordinators here are real ``MarketplaceServer`` instances; workers are
 real :class:`~repro.fleet.agent.FleetAgent` threads leasing over HTTP.
 Every sweep must merge to the same digest as the single-process
 :class:`~repro.simulate.pool.SessionPool` path, whatever the
@@ -17,31 +17,25 @@ from repro.fleet.agent import FleetAgent
 from repro.fleet.executor import FleetExecutor
 from repro.jobs import JobStore
 from repro.service import (
+    JobService,
     MarketPool,
     SessionManager,
     SimulationSpec,
-    create_server,
     run_simulation,
 )
-from repro.service.server import JobService
+from repro.service.server import MarketplaceServer
 
 SPEC = SimulationSpec(sessions=120, seed=11, batch_size=32)
 
 
-def _coordinator(store, *, lease_ttl=30.0, heartbeat_ttl=30.0):
-    server = create_server(
-        port=0,
+def _coordinator(store, *, port=0, lease_ttl=30.0, heartbeat_ttl=30.0):
+    server = MarketplaceServer(
+        port=port,
         manager=SessionManager(pool=MarketPool()),
         jobs=JobService(store, lease_ttl=lease_ttl,
                         heartbeat_ttl=heartbeat_ttl),
     )
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    return server, "http://%s:%s" % server.server_address[:2]
-
-
-def _stop(server):
-    server.shutdown()
-    server.server_close()
+    return server, "http://%s:%s" % server.start_background()
 
 
 @pytest.fixture
@@ -83,7 +77,7 @@ class TestFleetSweep:
         finally:
             for agent in agents:
                 agent.stop()
-            _stop(server)
+            server.shutdown()
 
     def test_late_joiner_picks_up_a_waiting_queue(self, store,
                                                   reference_digest):
@@ -103,7 +97,7 @@ class TestFleetSweep:
                 assert final["digest"] == reference_digest
         finally:
             agent.stop()
-            _stop(server)
+            server.shutdown()
 
     def test_worker_chunk_error_fails_the_job(self, store):
         """A chunk that *raises* on its worker fails the job (no retry
@@ -122,7 +116,7 @@ class TestFleetSweep:
                 assert agent.worker_id in final["error"]
         finally:
             agent.stop()
-            _stop(server)
+            server.shutdown()
 
 
 class TestCrashAdoption:
@@ -146,14 +140,14 @@ class TestCrashAdoption:
                 while client.job(job_id)["chunks_done"] == 0:
                     assert time.monotonic() < deadline
                     time.sleep(0.05)
-            # Hard stop — no drain, mid-sweep.  The agent keeps running
-            # and rides out the outage on its retry loops.
-            _stop(server)
+            # Stop mid-sweep: the running job is interrupted in the
+            # store.  The agent keeps running and rides out the outage
+            # on its retry loops.
+            server.shutdown()
 
-            # Restart "the coordinator" on the same port-agnostic store.
-            server2, url2 = _coordinator(store)
-            agent.coordinator = url2.rstrip("/")  # same worker, new door
-            agent._registered.clear()
+            # Restart "the coordinator" on the same port and store, as a
+            # supervisor would: the agent's clients keep their address.
+            server2, url2 = _coordinator(store, port=server.address[1])
             with MarketplaceClient.connect(url2) as client:
                 partial = client.job(job_id)
                 assert 0 < partial["chunks_done"] < partial["chunks"]
@@ -168,7 +162,7 @@ class TestCrashAdoption:
                 assert [w["worker"] for w in status["workers"]] == [
                     agent.worker_id
                 ]
-            _stop(server2)
+            server2.shutdown()
         finally:
             agent.stop(deregister=False)
 
@@ -203,7 +197,7 @@ class TestCrashAdoption:
                     survivor.stop()
         finally:
             doomed.stop(deregister=False, timeout=0.1)
-            _stop(server)
+            server.shutdown()
 
 
 class TestFleetExecutorLocal:

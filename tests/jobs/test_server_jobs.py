@@ -7,22 +7,22 @@ remaining trace.
 """
 
 import json
-import threading
 import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.jobs import JobStore
+from repro.client import MarketplaceClient
+from repro.jobs import JobStore, ShardedExecutor
 from repro.service import (
+    JobService,
     MarketPool,
     SessionManager,
     SimulationSpec,
-    create_server,
     run_simulation,
 )
-from repro.service.server import JobService
+from repro.service.server import MarketplaceServer
 
 SIM = {"sessions": 60, "seed": 9, "batch_size": 16}
 
@@ -41,15 +41,12 @@ def _call(url, method="GET", body=None):
 def service(tmp_path):
     store = JobStore(str(tmp_path / "jobs.sqlite3"))
     manager = SessionManager(pool=MarketPool())
-    server = create_server(
+    server = MarketplaceServer(
         port=0, manager=manager, jobs=JobService(store, shards=2)
     )
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
+    host, port = server.start_background()
     yield {"url": f"http://{host}:{port}", "store": store, "server": server}
     server.shutdown()
-    server.server_close()
 
 
 class TestHealthz:
@@ -143,15 +140,13 @@ class TestCheckpointOverTheWire:
         assert checkpoint["state"]["round_number"] == 2
 
         # A second, cold server (fresh pool, fresh store).
-        other = create_server(
+        other = MarketplaceServer(
             port=0,
             manager=SessionManager(pool=MarketPool()),
             jobs=JobService(JobStore(str(tmp_path / "other.sqlite3"))),
         )
-        thread = threading.Thread(target=other.serve_forever, daemon=True)
-        thread.start()
         try:
-            other_url = "http://%s:%s" % other.server_address[:2]
+            other_url = "http://%s:%s" % other.start_background()
             status, restored = _call(
                 f"{other_url}/v1/sessions/{sid}/state", "PUT", checkpoint
             )
@@ -167,7 +162,6 @@ class TestCheckpointOverTheWire:
             assert final_a["outcome"] == final_b["outcome"]
         finally:
             other.shutdown()
-            other.server_close()
 
     def test_tampered_checkpoint_rejected_with_400(self, service):
         url = service["url"]
@@ -201,3 +195,46 @@ class TestDrain:
         record = service["store"].get(submitted["job"])
         assert not record.finished
         jobs.drain(timeout=5.0)
+
+    def test_resume_reply_is_running_and_wait_sees_the_finish(
+        self, tmp_path
+    ):
+        """Regression: ``resume`` used to answer while the store still
+        said ``interrupted`` (a terminal status), so an immediate
+        ``wait_job`` ended on the stale record without a digest."""
+        store = JobStore(str(tmp_path / "jobs.sqlite3"))
+        executor = ShardedExecutor(store, shards=1, max_chunks=1)
+        record = executor.submit(SimulationSpec.from_dict(SIM), chunks=3)
+        assert executor.run(record.job_id).status == "interrupted"
+
+        class SlowStartJobs(JobService):
+            """Job threads that take a moment to get going, as a
+            loaded host's do: the reply must not depend on them."""
+
+            def _executor(self, shards=None, *, fleet=False):
+                executor = super()._executor(shards, fleet=fleet)
+                run = executor.run
+
+                def slow_run(job_id):
+                    time.sleep(0.3)
+                    return run(job_id)
+
+                executor.run = slow_run
+                return executor
+
+        server = MarketplaceServer(
+            port=0, manager=SessionManager(pool=MarketPool()),
+            jobs=SlowStartJobs(store, shards=1),
+        )
+        url = "http://%s:%s" % server.start_background()
+        try:
+            with MarketplaceClient.connect(url) as client:
+                resumed = client.resume_job(record.job_id)
+                assert resumed["started"]
+                assert resumed["status"] == "running"
+                final = client.wait_job(record.job_id, timeout=120.0)
+        finally:
+            server.shutdown()
+        _, _, reference = run_simulation(SimulationSpec.from_dict(SIM))
+        assert final["status"] == "done"
+        assert final["digest"] == reference.digest()

@@ -1,28 +1,27 @@
-"""Asyncio transport behaviour: protocol, drain, periodic eviction.
+"""Event-loop behaviour of the HTTP server: protocol, drain, eviction.
 
-Payload parity with the threaded server is covered by
-``test_batch_stepping.py``; this file pins the transport-level
-behaviours the event loop owns — body enforcement, legacy envelopes,
-streaming, the 503 drain refusal, and the idle-eviction sweep that must
-run without any ``open_session`` traffic.
+The wire contract (envelopes, body limits, pagination) lives in
+``test_v1_protocol.py``; this file pins the behaviours the event loop
+owns — keep-alive, streaming on threads of their own, the 503 drain
+refusal, and the idle-eviction sweep that must run without any
+``open_session`` traffic.
 """
 
 import http.client
 import json
-import threading
 import time
 
 import pytest
 
+from repro.jobs import JobStore, ShardedExecutor
 from repro.service import (
+    JobService,
     MarketPool,
     MarketSpec,
     SessionManager,
-    SessionSpec,
-    create_server,
+    SimulationSpec,
 )
-from repro.service.async_server import AsyncMarketplaceServer
-from repro.service.server import start_eviction_sweeper
+from repro.service.server import MarketplaceServer
 
 SPEC = MarketSpec(dataset="synthetic", seed=0)
 SPEC_DICT = {"dataset": "synthetic", "seed": 0}
@@ -37,13 +36,10 @@ def pool():
 
 @pytest.fixture(scope="module")
 def service(pool, tmp_path_factory):
-    from repro.jobs import JobStore
-    from repro.service import JobService
-
     store = JobStore(
         str(tmp_path_factory.mktemp("async-server") / "jobs.sqlite3")
     )
-    server = AsyncMarketplaceServer(
+    server = MarketplaceServer(
         port=0,
         manager=SessionManager(pool=pool),
         jobs=JobService(store, shards=1),
@@ -67,6 +63,15 @@ def _call(service, method, path, body=None, headers=None):
         return response.status, payload, dict(response.getheaders())
     finally:
         conn.close()
+
+
+def _unstarted_job(tmp_path):
+    """A recorded job that nothing runs: its event stream stays open."""
+    store = JobStore(str(tmp_path / "jobs.sqlite3"))
+    record = ShardedExecutor(store, shards=1).submit(
+        SimulationSpec(sessions=16, seed=0)
+    )
+    return store, record.job_id
 
 
 class TestProtocol:
@@ -176,7 +181,7 @@ class TestProtocol:
 
 class TestDrain:
     def test_draining_refuses_with_retry_after(self, pool):
-        server = AsyncMarketplaceServer(
+        server = MarketplaceServer(
             port=0, manager=SessionManager(pool=pool), eviction_interval=0
         )
         service = dict(zip(("host", "port"), server.start_background()))
@@ -194,7 +199,7 @@ class TestDrain:
             server.shutdown(timeout=10.0)
 
     def test_shutdown_stops_accepting(self, pool):
-        server = AsyncMarketplaceServer(
+        server = MarketplaceServer(
             port=0, manager=SessionManager(pool=pool), eviction_interval=0
         )
         service = dict(zip(("host", "port"), server.start_background()))
@@ -203,13 +208,34 @@ class TestDrain:
         with pytest.raises(OSError):
             _call(service, "GET", "/v1/health")
 
+    def test_open_event_stream_does_not_hold_the_drain(self, pool, tmp_path):
+        """A stream is not in-flight work: the drain must not wait out
+        ``drain_timeout`` (or the stream's own deadline) for it."""
+        store, job_id = _unstarted_job(tmp_path)
+        server = MarketplaceServer(
+            port=0, manager=SessionManager(pool=pool),
+            jobs=JobService(store, shards=1), eviction_interval=0,
+            drain_timeout=20.0,
+        )
+        host, port = server.start_background()
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            conn.request("GET", f"/v1/jobs/{job_id}/events?timeout=20")
+            response = conn.getresponse()
+            assert json.loads(response.readline())["event"] == "progress"
+            start = time.monotonic()
+            server.shutdown(timeout=30.0)
+            assert time.monotonic() - start < 5.0
+        finally:
+            conn.close()
+
 
 class TestPeriodicEviction:
     def test_async_sweeper_evicts_without_open_session(self, pool):
         """Regression: idle sessions used to be reaped only from inside
         ``open_session`` — a quiet server leaked them forever."""
         manager = SessionManager(pool=pool, idle_ttl=0.05)
-        server = AsyncMarketplaceServer(
+        server = MarketplaceServer(
             port=0, manager=manager, eviction_interval=0.05
         )
         service = dict(zip(("host", "port"), server.start_background()))
@@ -230,57 +256,62 @@ class TestPeriodicEviction:
         finally:
             server.shutdown(timeout=10.0)
 
-    def test_threaded_sweeper_evicts_without_open_session(self, pool):
-        manager = SessionManager(pool=pool, idle_ttl=0.05)
-        stop = start_eviction_sweeper(manager, 0.05)
-        try:
-            sid = manager.open_session(SessionSpec(market=SPEC, seed=0))
-            deadline = time.monotonic() + 5.0
-            while time.monotonic() < deadline:
-                if sid not in manager.session_ids():
-                    break
-                time.sleep(0.02)
-            assert sid not in manager.session_ids()
-        finally:
-            stop.set()
-
     def test_sweeper_disabled_interval_zero(self, pool):
         manager = SessionManager(pool=pool, idle_ttl=0.01)
-        stop = start_eviction_sweeper(manager, 0)
-        assert stop.is_set()  # never started
-        sid = manager.open_session(SessionSpec(market=SPEC, seed=0))
-        time.sleep(0.05)
-        assert sid in manager.session_ids()  # nothing sweeps
-
-    def test_server_without_idle_ttl_has_no_sweeper(self, pool):
-        manager = SessionManager(pool=pool)  # no ttl -> nothing to sweep
-        stop = start_eviction_sweeper(manager, None)
-        assert stop.is_set()
-
-
-class TestParityWithThreadedServer:
-    def test_report_payloads_identical(self, pool, tmp_path):
-        """Same manager state through both transports produces the
-        same wire payload: the transports are pure glue."""
-        manager = SessionManager(pool=pool)
-        threaded = create_server(port=0, manager=manager)
-        threading.Thread(
-            target=threaded.serve_forever, daemon=True
-        ).start()
-        asyncio_server = AsyncMarketplaceServer(
+        server = MarketplaceServer(
             port=0, manager=manager, eviction_interval=0
         )
+        service = dict(zip(("host", "port"), server.start_background()))
         try:
-            t_service = dict(
-                zip(("host", "port"), threaded.server_address[:2])
+            status, opened, _ = _call(
+                service, "POST", "/v1/sessions",
+                body={"market": SPEC_DICT, "seed": 0},
             )
-            a_service = dict(
-                zip(("host", "port"), asyncio_server.start_background())
-            )
-            _, t_report, _ = _call(t_service, "GET", "/v1/report")
-            _, a_report, _ = _call(a_service, "GET", "/v1/report")
-            assert t_report == a_report
+            assert status == 201
+            time.sleep(0.05)
+            assert opened["session"] in manager.session_ids()  # no sweep
         finally:
-            threaded.shutdown()
-            threaded.server_close()
-            asyncio_server.shutdown(timeout=10.0)
+            server.shutdown(timeout=10.0)
+
+    def test_server_without_idle_ttl_has_no_sweeper(self, pool):
+        server = MarketplaceServer(
+            port=0, manager=SessionManager(pool=pool)  # nothing to sweep
+        )
+        assert server.eviction_interval == 0
+        derived = MarketplaceServer(
+            port=0, manager=SessionManager(pool=pool, idle_ttl=100.0)
+        )
+        assert derived.eviction_interval == 50.0
+
+
+class TestEventStreams:
+    def test_open_streams_leave_the_handler_pool_free(self, pool, tmp_path):
+        """Regression: each stream's blocking ``next()`` ran on the
+        handler pool, so ``workers`` streams on an unfinished job held
+        every worker and pooled requests waited for a stream to end."""
+        store, job_id = _unstarted_job(tmp_path)
+        server = MarketplaceServer(
+            port=0, manager=SessionManager(pool=pool),
+            jobs=JobService(store, shards=1), workers=2,
+            eviction_interval=0,
+        )
+        host, port = server.start_background()
+        streams = []
+        try:
+            for _ in range(server.workers):
+                conn = http.client.HTTPConnection(host, port, timeout=30)
+                streams.append(conn)
+                conn.request("GET", f"/v1/jobs/{job_id}/events?timeout=2")
+                response = conn.getresponse()
+                assert response.status == 200
+                assert json.loads(response.readline())["event"] == "progress"
+            start = time.monotonic()
+            status, _, _ = _call(
+                {"host": host, "port": port}, "GET", "/v1/jobs"
+            )
+            assert status == 200
+            assert time.monotonic() - start < 1.0
+        finally:
+            for conn in streams:
+                conn.close()
+            server.shutdown(timeout=10.0)

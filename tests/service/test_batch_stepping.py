@@ -1,8 +1,8 @@
 """Digest parity for micro-batched stepping, manager- and wire-level.
 
 The contract: coalescing concurrent ``/step`` calls into per-market
-sweeps is *pure execution policy*.  For every coalesce window and both
-HTTP transports, each session's step-reply trace and final checkpoint
+sweeps is *pure execution policy*.  For every coalesce window, in
+process and over HTTP, each session's step-reply trace and final checkpoint
 digest must be byte-identical to plain serial stepwise execution.
 """
 
@@ -16,9 +16,8 @@ from repro.service import (
     MarketSpec,
     SessionManager,
     SessionSpec,
-    create_server,
 )
-from repro.service.async_server import AsyncMarketplaceServer
+from repro.service.server import MarketplaceServer
 
 WINDOWS = [None, 0.001, 0.01]
 
@@ -160,26 +159,17 @@ def _wire_specs():
 
 
 @pytest.mark.parametrize("window", WINDOWS, ids=["off", "1ms", "10ms"])
-@pytest.mark.parametrize("kind", ["threaded", "async"])
 class TestWireParity:
     def test_concurrent_steps_match_serial_baseline(
-        self, pool, baseline, window, kind
+        self, pool, baseline, window
     ):
         from repro.client import HttpTransport
 
         manager = SessionManager(pool=pool, coalesce_window=window)
-        if kind == "threaded":
-            server = create_server(port=0, manager=manager)
-            threading.Thread(
-                target=server.serve_forever, daemon=True
-            ).start()
-            address = server.server_address[:2]
-        else:
-            server = AsyncMarketplaceServer(
-                port=0, manager=manager, eviction_interval=0
-            )
-            address = server.start_background()
-        url = "http://%s:%s" % address
+        server = MarketplaceServer(
+            port=0, manager=manager, eviction_interval=0
+        )
+        url = "http://%s:%s" % server.start_background()
         specs = _wire_specs()
         try:
             got = _parallel_drive(
@@ -188,8 +178,4 @@ class TestWireParity:
             )
             assert got == baseline
         finally:
-            if kind == "threaded":
-                server.shutdown()
-                server.server_close()
-            else:
-                server.shutdown(timeout=10.0)
+            server.shutdown(timeout=10.0)

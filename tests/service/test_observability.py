@@ -1,20 +1,19 @@
 """The telemetry surface: ``GET /v1/metrics`` and ``GET /v1/traces``.
 
-Covers all three fronts — LocalTransport, the threaded server, and the
-asyncio server — plus the exposition-format contract (parseable
-Prometheus text v0.0.4) and trace pagination semantics.
+Covers both fronts — LocalTransport and the HTTP server — plus the
+exposition-format contract (parseable Prometheus text v0.0.4) and trace
+pagination semantics.
 """
 
 import http.client
-import threading
 
 import pytest
 
 from repro import obs
 from repro.client import MarketplaceClient
-from repro.service import MarketPool, SessionManager, create_server
+from repro.service import MarketPool, SessionManager
 from repro.service.api import METRICS_CONTENT_TYPE
-from repro.service.async_server import AsyncMarketplaceServer
+from repro.service.server import MarketplaceServer
 
 SPEC_DICT = {"dataset": "synthetic", "seed": 0}
 
@@ -115,18 +114,8 @@ class TestLocalTransport:
 
 
 @pytest.fixture(scope="module")
-def threaded():
-    server = create_server(port=0, manager=SessionManager(pool=MarketPool()))
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    host, port = server.server_address[:2]
-    yield {"host": host, "port": port}
-    server.shutdown()
-    server.server_close()
-
-
-@pytest.fixture(scope="module")
 def asyncio_server():
-    server = AsyncMarketplaceServer(
+    server = MarketplaceServer(
         port=0, manager=SessionManager(pool=MarketPool())
     )
     host, port = server.start_background()
@@ -151,14 +140,6 @@ def _scrape(service) -> tuple[int, str, str]:
 
 
 class TestHttpExposition:
-    def test_threaded_server_scrape(self, threaded):
-        status, content_type, text = _scrape(threaded)
-        assert status == 200
-        assert content_type == METRICS_CONTENT_TYPE
-        families = _parse_families(text)
-        for name in CORE_FAMILIES:
-            assert name in families
-
     def test_asyncio_server_scrape(self, asyncio_server):
         status, content_type, text = _scrape(asyncio_server)
         assert status == 200
@@ -167,9 +148,9 @@ class TestHttpExposition:
         for name in CORE_FAMILIES:
             assert name in families
 
-    def test_traces_stream_over_http(self, threaded):
+    def test_traces_stream_over_http(self, asyncio_server):
         with MarketplaceClient.connect(
-            f"http://{threaded['host']}:{threaded['port']}"
+            f"http://{asyncio_server['host']}:{asyncio_server['port']}"
         ) as client:
             before = obs.TRACER.last_seq()
             client.health()

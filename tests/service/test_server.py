@@ -1,13 +1,13 @@
 """HTTP smoke tests: a full bargain to acceptance over localhost."""
 
 import json
-import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.service import MarketPool, SessionManager, create_server
+from repro.service import MarketPool, SessionManager
+from repro.service.server import MarketplaceServer
 from repro.service.specs import MarketSpec
 from repro.utils.rng import spawn
 
@@ -18,13 +18,10 @@ SPEC_DICT = {"dataset": "synthetic", "seed": 0}
 def service():
     pool = MarketPool()
     manager = SessionManager(pool=pool)
-    server = create_server(port=0, manager=manager)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
+    server = MarketplaceServer(port=0, manager=manager)
+    host, port = server.start_background()
     yield {"url": f"http://{host}:{port}", "pool": pool, "manager": manager}
     server.shutdown()
-    server.server_close()
 
 
 def _call(url, method="GET", body=None):

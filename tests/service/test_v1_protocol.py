@@ -9,28 +9,25 @@ page cursor behaves.
 import http.client
 import json
 import socket
-import threading
 
 import pytest
 
 from repro.jobs import JobStore
-from repro.service import JobService, MarketPool, SessionManager, create_server
-from repro.service.server import MAX_BODY_BYTES
+from repro.service import JobService, MarketPool, SessionManager
+from repro.service.server import MAX_BODY_BYTES, MarketplaceServer
 
 
 @pytest.fixture(scope="module")
 def service(tmp_path_factory):
     store = JobStore(str(tmp_path_factory.mktemp("v1") / "jobs.sqlite3"))
-    server = create_server(
+    server = MarketplaceServer(
         port=0,
         manager=SessionManager(pool=MarketPool()),
         jobs=JobService(store, shards=2),
     )
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    host, port = server.server_address[:2]
+    host, port = server.start_background()
     yield {"host": host, "port": port, "store": store, "server": server}
     server.shutdown()
-    server.server_close()
 
 
 def _request(service, method, path, body=None, headers=None):
@@ -192,6 +189,49 @@ class TestBodyLimits:
         head, _, body = reply.partition(b"\r\n\r\n")
         assert b"400" in head.splitlines()[0]
         assert json.loads(body.decode())["error"]["code"] == "invalid_request"
+
+
+class TestExpectContinue:
+    """``Expect: 100-continue``: a client holds its body back until the
+    server accepts the declared length (curl does this for large
+    uploads); a silent server makes it wait out its expect timeout."""
+
+    def test_continue_is_sent_before_the_body_is_read(self, service):
+        blob = b"{}"
+        with socket.create_connection(
+            (service["host"], service["port"]), timeout=30
+        ) as sock:
+            sock.sendall(
+                b"POST /v1/sessions/snope/step HTTP/1.1\r\nHost: x\r\n"
+                b"Expect: 100-continue\r\n"
+                + f"Content-Length: {len(blob)}\r\n\r\n".encode()
+            )
+            sock.settimeout(1.0)
+            interim = sock.recv(65536)
+            assert interim.startswith(b"HTTP/1.1 100 Continue\r\n\r\n")
+            sock.settimeout(30)
+            sock.sendall(blob)
+            reply = interim[len(b"HTTP/1.1 100 Continue\r\n\r\n"):]
+            while b"\r\n\r\n" not in reply:
+                reply += sock.recv(65536)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert b"404" in head.splitlines()[0]
+
+    @pytest.mark.parametrize("length, status", [
+        (str(MAX_BODY_BYTES + 1), b"413"),
+        ("lots", b"411"),
+    ])
+    def test_refused_length_gets_final_status_without_continue(
+        self, service, length, status
+    ):
+        reply = _raw_exchange(
+            service,
+            (b"POST /v1/markets HTTP/1.1\r\nHost: x\r\n"
+             b"Expect: 100-continue\r\n"
+             + f"Content-Length: {length}\r\n\r\n".encode()),
+        )
+        assert reply.startswith(b"HTTP/1.1 " + status)
+        assert b"100 Continue" not in reply
 
 
 class TestJobsPagination:
