@@ -6,7 +6,11 @@ The claim under test: the typed client is free where it should be free
 :class:`~repro.service.manager.SessionManager` directly (the facade
 adds one route match and one JSON round-trip per call to work that
 runs whole bargaining games) — and the HTTP transport's per-call
-round-trip overhead is measured and reported, not guessed.
+round-trip overhead is measured and reported, not guessed.  The
+direct and local paths are timed in interleaved pairs, one session on
+each path back to back, and the gate reads the median of the per-pair
+ratios, so load that comes and goes on a shared host does not decide
+it.
 
 All three paths play the *same* games (identical per-run seed
 streams), so the comparison also pins outcome equality across the
@@ -39,28 +43,20 @@ LOCAL_OVERHEAD_CEILING = 0.05  # LocalTransport within 5% of direct calls
 SPEC = MarketSpec(dataset="synthetic", seed=SEED)
 
 
-def _run_direct(manager: SessionManager, n: int):
-    outcomes = []
-    for run in range(n):
-        session_id = manager.open_session(
-            SessionSpec(market=SPEC, seed=SEED, run=run)
-        )
-        summary = manager.run(session_id)
-        outcomes.append(summary["outcome"])
-        manager.close(session_id)
-    return outcomes
+def _direct_session(manager: SessionManager, run: int) -> dict:
+    session_id = manager.open_session(
+        SessionSpec(market=SPEC, seed=SEED, run=run)
+    )
+    summary = manager.run(session_id)
+    manager.close(session_id)
+    return summary["outcome"]
 
 
-def _run_client(client: MarketplaceClient, n: int):
-    outcomes = []
-    for run in range(n):
-        opened = client.open_session(
-            SessionSpec(market=SPEC, seed=SEED, run=run)
-        )
-        state = client.run_session(opened["session"])
-        outcomes.append(state["outcome"])
-        client.close_session(opened["session"])
-    return outcomes
+def _client_session(client: MarketplaceClient, run: int) -> dict:
+    opened = client.open_session(SessionSpec(market=SPEC, seed=SEED, run=run))
+    state = client.run_session(opened["session"])
+    client.close_session(opened["session"])
+    return state["outcome"]
 
 
 def _best_of(fn, repeats: int = REPEATS):
@@ -71,6 +67,38 @@ def _best_of(fn, repeats: int = REPEATS):
         result = fn()
         best = min(best, time.perf_counter() - t0)
     return best, result
+
+
+def _paired(first, second, n: int, passes: int = REPEATS):
+    """Time ``first(run)`` and ``second(run)`` back to back for every run.
+
+    Each pair plays the same game on both paths within a few
+    milliseconds, so load on a shared host is nearly the same for both
+    halves and cancels from the pair's ratio; the median ratio then
+    discards pairs that a load shift or a collection split.  The order
+    alternates from pair to pair so neither path always runs second.
+    Returns the sorted ``second / first`` ratios, each path's best
+    per-pass total and each path's outcomes.
+    """
+    ratios: list[float] = []
+    totals: tuple[list[float], list[float]] = ([], [])
+    outcomes: tuple[list[dict], list[dict]] = ([], [])
+    for pass_no in range(passes):
+        elapsed = [0.0, 0.0]
+        results: tuple[list[dict], list[dict]] = ([], [])
+        for run in range(n):
+            pair = [0.0, 0.0]
+            for side in ((0, 1) if (run + pass_no) % 2 == 0 else (1, 0)):
+                t0 = time.perf_counter()
+                results[side].append((first, second)[side](run))
+                pair[side] = time.perf_counter() - t0
+            ratios.append(pair[1] / pair[0])
+            elapsed[0] += pair[0]
+            elapsed[1] += pair[1]
+        for side in (0, 1):
+            totals[side].append(elapsed[side])
+        outcomes = results
+    return sorted(ratios), min(totals[0]), min(totals[1]), outcomes
 
 
 def test_client_transport_overhead(results_dir, tmp_path):
@@ -94,14 +122,14 @@ def test_client_transport_overhead(results_dir, tmp_path):
     http_client.build_market(SPEC)
 
     try:
-        direct_elapsed, direct = _best_of(
-            lambda: _run_direct(direct_manager, N_SESSIONS)
-        )
-        local_elapsed, local = _best_of(
-            lambda: _run_client(local_client, N_SESSIONS)
+        ratios, direct_elapsed, local_elapsed, (direct, local) = _paired(
+            lambda run: _direct_session(direct_manager, run),
+            lambda run: _client_session(local_client, run),
+            N_SESSIONS,
         )
         http_elapsed, http = _best_of(
-            lambda: _run_client(http_client, N_SESSIONS)
+            lambda: [_client_session(http_client, run)
+                     for run in range(N_SESSIONS)]
         )
     finally:
         http_client.close()
@@ -112,7 +140,7 @@ def test_client_transport_overhead(results_dir, tmp_path):
         (http_elapsed - direct_elapsed)
         / (N_SESSIONS * calls_per_session)
     )
-    local_overhead = local_elapsed / direct_elapsed - 1.0
+    local_overhead = ratios[len(ratios) // 2] - 1.0
 
     print()
     print(f"direct SessionManager : {N_SESSIONS} sessions in "
@@ -120,6 +148,9 @@ def test_client_transport_overhead(results_dir, tmp_path):
     print(f"LocalTransport client : {N_SESSIONS} sessions in "
           f"{local_elapsed:.3f}s (overhead {100 * local_overhead:+.1f}%, "
           f"ceiling {100 * LOCAL_OVERHEAD_CEILING:.0f}%)")
+    print(f"per-session pairs     : {len(ratios)}, local/direct quartiles "
+          f"{ratios[len(ratios) // 4]:.3f} / {ratios[len(ratios) // 2]:.3f} "
+          f"/ {ratios[3 * len(ratios) // 4]:.3f} (the median is gated)")
     print(f"HttpTransport client  : {N_SESSIONS} sessions in "
           f"{http_elapsed:.3f}s "
           f"(~{1e6 * max(http_call_overhead, 0.0):.0f}us per round trip)")
@@ -127,6 +158,11 @@ def test_client_transport_overhead(results_dir, tmp_path):
     payload = {
         "n_sessions": N_SESSIONS,
         "repeats": REPEATS,
+        "pairs": len(ratios),
+        "local_direct_ratio_quartiles": [
+            ratios[len(ratios) // 4], ratios[len(ratios) // 2],
+            ratios[3 * len(ratios) // 4],
+        ],
         "direct_elapsed": direct_elapsed,
         "local_elapsed": local_elapsed,
         "http_elapsed": http_elapsed,

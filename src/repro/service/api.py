@@ -178,6 +178,9 @@ class JobService:
         self.lease_ttl = float(lease_ttl)
         self.heartbeat_ttl = float(heartbeat_ttl)
         self.stop_event = threading.Event()
+        #: Set once ``drain()`` has flushed the running jobs: event
+        #: streams then poll once more and end.
+        self.drained = threading.Event()
         self._threads: dict[str, threading.Thread] = {}
         self._lock = threading.Lock()
         # Lazy-init guard for `store` only — deliberately NOT self._lock,
@@ -327,6 +330,7 @@ class JobService:
         deadline = time.monotonic() + timeout
         for thread in threads:
             thread.join(max(0.0, deadline - time.monotonic()))
+        self.drained.set()
 
 
 # ----------------------------------------------------------------------
@@ -497,10 +501,14 @@ def _get_job_events(ctx, params, body, query) -> Iterator[dict]:
     stream); the generator then polls the durable store and emits one
     ``progress`` line per observed change, a final ``end`` line when
     the job reaches a terminal status, or a ``timeout`` line when the
-    client's deadline passes first (the job keeps running).
+    client's deadline passes first (the job keeps running).  Once the
+    service has drained, the stream polls once more: a job the drain
+    flushed ends with its ``end`` line, and a stream on a job that is
+    not running here stops without one instead of holding the shutdown.
     """
     job_id = params["job_id"]
-    store = ctx.jobs.store
+    jobs = ctx.jobs
+    store = jobs.store
     store.get(job_id)  # KeyError -> 404, before any line is streamed
     poll = min(max(_float_query(query, "poll", 0.1), 0.01), 5.0)
     timeout = min(max(_float_query(query, "timeout", 600.0), 0.0), 3600.0)
@@ -508,6 +516,7 @@ def _get_job_events(ctx, params, body, query) -> Iterator[dict]:
     def events() -> Iterator[dict]:
         deadline = time.monotonic() + timeout
         last: tuple | None = None
+        drained = False
         while True:
             record = store.get(job_id)
             snapshot = (record.status, record.done_chunks)
@@ -536,7 +545,9 @@ def _get_job_events(ctx, params, body, query) -> Iterator[dict]:
                 yield {"event": "timeout", "job": job_id,
                        "status": record.status}
                 return
-            time.sleep(poll)
+            if drained:
+                return
+            drained = jobs.drained.wait(poll)
 
     return events()
 

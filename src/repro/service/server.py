@@ -199,6 +199,7 @@ class MarketplaceServer:
         self._stop: asyncio.Event | None = None
         self._busy = 0
         self._conn_tasks: set[asyncio.Task] = set()
+        self._stream_tasks: set[asyncio.Task] = set()
         self._started = threading.Event()
         self._stopped = threading.Event()
         self._thread: threading.Thread | None = None
@@ -281,8 +282,8 @@ class MarketplaceServer:
 
     async def _drain(self, server: asyncio.base_events.Server) -> None:
         """Graceful shutdown: refuse new work, let in-flight requests
-        finish, flush running jobs (which ends their event streams),
-        then close whatever connections are left."""
+        finish, flush running jobs, let their event streams send the
+        final ``end`` line, then close whatever connections are left."""
         self.draining = True
         server.close()
         await server.wait_closed()
@@ -294,6 +295,13 @@ class MarketplaceServer:
         await self._loop.run_in_executor(
             self._executor, self.jobs.drain, remaining
         )
+        # Idle keep-alive connections go now; a stream needs one more
+        # store poll to see its flushed job's terminal status.
+        for task in self._conn_tasks - self._stream_tasks:
+            task.cancel()
+        if self._stream_tasks:
+            remaining = max(0.5, deadline - asyncio.get_running_loop().time())
+            await asyncio.wait(set(self._stream_tasks), timeout=remaining)
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
@@ -451,9 +459,13 @@ class MarketplaceServer:
             # A stream is a tail, not in-flight work: the drain ends it
             # by interrupting its job, so it must not hold the drain.
             self._busy -= 1
+            task = asyncio.current_task()
+            assert task is not None
+            self._stream_tasks.add(task)
             try:
                 await self._write_stream(writer, reply.payload)
             finally:
+                self._stream_tasks.discard(task)
                 self._busy += 1
             return False  # chunked replies own their connection
         self._write(writer, reply.status, reply.payload,

@@ -6,6 +6,7 @@ in-flight session between two live servers with a bit-identical
 remaining trace.
 """
 
+import http.client
 import json
 import time
 import urllib.error
@@ -195,6 +196,39 @@ class TestDrain:
         record = service["store"].get(submitted["job"])
         assert not record.finished
         jobs.drain(timeout=5.0)
+
+    def test_event_stream_ends_through_a_drain(self, tmp_path):
+        """Regression: the drain cancelled every connection as soon as
+        the jobs flushed, so a client following a running job's event
+        stream lost the final ``end`` line."""
+        store = JobStore(str(tmp_path / "jobs.sqlite3"))
+        server = MarketplaceServer(
+            port=0, manager=SessionManager(pool=MarketPool()),
+            jobs=JobService(store, shards=1), eviction_interval=0,
+        )
+        host, port = server.start_background()
+        conn = http.client.HTTPConnection(host, port, timeout=60)
+        try:
+            status, submitted = _call(
+                f"http://{host}:{port}/v1/simulations", "POST",
+                {**SIM, "sessions": 4000, "chunks": 200},
+            )
+            assert status == 202, submitted
+            conn.request("GET", f"/v1/jobs/{submitted['job']}/events?poll=0.05")
+            response = conn.getresponse()
+            assert response.status == 200
+            lines = []
+            while not lines or lines[-1]["status"] != "running":
+                lines.append(json.loads(response.readline()))
+            server.shutdown(timeout=30.0)
+            lines += [json.loads(line) for line in response if line.strip()]
+        finally:
+            conn.close()
+            server.shutdown(timeout=30.0)
+        assert lines[-1] == {
+            "event": "end", "job": submitted["job"], "status": "interrupted"
+        }
+        assert store.get(submitted["job"]).status == "interrupted"
 
     def test_resume_reply_is_running_and_wait_sees_the_finish(
         self, tmp_path

@@ -7,12 +7,16 @@ tolerance — across kernels, worker counts and cache states.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data import load_titanic
 from repro.market.bundle import FeatureBundle, sample_bundles
 from repro.market.oracle import PerformanceOracle
 from repro.ml.forest import RandomForestClassifier
+from repro.ml.tree import quantile_bin
 from repro.oracle_factory import FastForestCourse, SharedDesigns, build_oracle
+from repro.oracle_factory import course as course_module
 from repro.utils.rng import spawn
 from repro.vfl import Channel, run_vfl
 
@@ -75,6 +79,157 @@ class TestFastCourseKernel:
         p_fast = self._fast_proba(dataset, shared, (2, 4), 11, **kw)
         p_ref = self._forest_proba(dataset, (2, 4), 11, **kw)
         np.testing.assert_array_equal(p_fast, p_ref)
+
+
+def _reference_proba(X_train, y, X_test, rng, params):
+    """The centralised forest's probabilities: the kernel's oracle.
+
+    The seed tree rejects ``max_depth=0``; that forest is its roots
+    alone, so each tree predicts its bootstrap rows' positive rate,
+    averaged in tree order like ``RandomForestClassifier``.
+    """
+    if params["max_depth"] > 0:
+        rf = RandomForestClassifier(rng=rng, **params)
+        return rf.fit(X_train, y).predict_proba(X_test)
+    n = y.shape[0]
+    acc = np.zeros(X_test.shape[0])
+    for t in range(params["n_estimators"]):
+        rows = (
+            spawn(rng, "tree", t).integers(0, n, size=n)
+            if params["bootstrap"]
+            else np.arange(n)
+        )
+        acc += int((y[rows] != 0).sum()) / n
+    return acc / params["n_estimators"]
+
+
+def _kernel(X_train, y, X_test, rng, params):
+    """A fitted wave-kernel course and its probabilities on ``X_test``."""
+    design = quantile_bin(X_train, max_bins=32)
+    test_codes = np.stack(
+        [np.searchsorted(e, X_test[:, j], side="left")
+         for j, e in enumerate(design.edges)],
+        axis=1,
+    )
+    course = FastForestCourse(design, y, rng=rng, **params).fit()
+    return course, course.predict_proba_binned(test_codes)
+
+
+def _assert_kernel_matches_forest(X_train, y, X_test, seed, **params):
+    params = {
+        "n_estimators": 6, "max_depth": 6, "min_samples_leaf": 2,
+        "max_features": "sqrt", "bootstrap": True, **params,
+    }
+    course, p_fast = _kernel(X_train, y, X_test, spawn(seed, "course"), params)
+    p_ref = _reference_proba(X_train, y, X_test, spawn(seed, "course"), params)
+    np.testing.assert_array_equal(p_fast, p_ref)
+    return course
+
+
+class TestWaveKernelEquivalence:
+    """The lockstep wave kernel equals the per-tree seed forest exactly,
+    whatever the forest shape and however unevenly its trees grow."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        data=st.data(),
+        n_estimators=st.integers(1, 6),
+        max_depth=st.integers(0, 10),
+        min_samples_leaf=st.integers(1, 8),
+        bootstrap=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_probabilities_equal_forest(
+        self, dataset, data, n_estimators, max_depth, min_samples_leaf,
+        bootstrap, seed,
+    ):
+        bundle = data.draw(
+            st.none()
+            | st.lists(
+                st.integers(0, dataset.d_data - 1), min_size=1, unique=True
+            ).map(sorted),
+            label="bundle",
+        )
+        X_train, X_test = dataset.task_train, dataset.task_test
+        if bundle is not None:
+            X_train = np.hstack([X_train, dataset.data_train[:, bundle]])
+            X_test = np.hstack([X_test, dataset.data_test[:, bundle]])
+        max_features = data.draw(
+            st.sampled_from(["sqrt", None])
+            | st.integers(1, X_train.shape[1]),
+            label="max_features",
+        )
+        _assert_kernel_matches_forest(
+            X_train, dataset.y_train.astype(np.float64), X_test, seed,
+            n_estimators=n_estimators, max_depth=max_depth,
+            min_samples_leaf=min_samples_leaf, max_features=max_features,
+            bootstrap=bootstrap,
+        )
+
+    @pytest.mark.parametrize("max_features", ["sqrt", None, 1])
+    def test_constant_columns(self, max_features):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(120, 4))
+        X[:, 1] = 2.5  # one constant column among varied ones
+        y = (X[:, 0] + 0.3 * rng.normal(size=120) > 0).astype(np.float64)
+        _assert_kernel_matches_forest(
+            X[:80], y[:80], X[80:], 5, max_features=max_features
+        )
+        # Every column constant: a single bin, so no tree can split.
+        course = _assert_kernel_matches_forest(
+            np.ones((80, 3)), y[:80], np.ones((40, 3)), 5,
+            max_features=max_features,
+        )
+        assert course.design.n_bins == 1
+        assert all(tree[0].shape[0] == 1 for tree in course.trees_)
+
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_single_class_training_set(self, label):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(90, 3))
+        y = np.full(60, label)
+        course = _assert_kernel_matches_forest(X[:60], y, X[60:], 1)
+        assert all(tree[0].shape[0] == 1 for tree in course.trees_)
+        np.testing.assert_array_equal(
+            course.predict_proba_binned(np.zeros((5, 3), dtype=np.int64)),
+            np.full(5, label),
+        )
+
+    def test_trees_finishing_in_very_different_waves(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(100, 5))
+        # One positive row: bootstraps that miss it have a pure root and
+        # never join a wave, the others keep splitting.
+        y = np.zeros(70)
+        y[13] = 1.0
+        course = _assert_kernel_matches_forest(
+            X[:70], y, X[70:], 2, n_estimators=12, max_depth=10,
+            min_samples_leaf=1, max_features=None,
+        )
+        sizes = [tree[0].shape[0] for tree in course.trees_]
+        assert min(sizes) == 1 and max(sizes) >= 5, sizes
+        # Feature 0 separates the labels: a tree that draws it at the
+        # root is done after one wave, one that draws noise grows deep.
+        y = (X[:70, 0] > 0).astype(np.float64)
+        course = _assert_kernel_matches_forest(
+            X[:70], y, X[70:], 2, n_estimators=12, max_depth=10,
+            min_samples_leaf=1, max_features=1,
+        )
+        sizes = [tree[0].shape[0] for tree in course.trees_]
+        assert min(sizes) == 3 and max(sizes) >= 25, sizes
+
+
+    def test_capped_waves_defer_trees(self, dataset, monkeypatch):
+        """A wave that cannot hold one node of every tree leaves the
+        rest for later waves; no tree's own order changes."""
+        monkeypatch.setattr(course_module, "_WAVE_CELLS", 2000)
+        X_train = np.hstack([dataset.task_train, dataset.data_train[:, [0, 3]]])
+        X_test = np.hstack([dataset.task_test, dataset.data_test[:, [0, 3]]])
+        for max_features in ("sqrt", None):
+            _assert_kernel_matches_forest(
+                X_train, dataset.y_train.astype(np.float64), X_test, 4,
+                max_depth=8, max_features=max_features,
+            )
 
 
 class TestPrebinnedProtocolPath:
